@@ -6,37 +6,34 @@
 //! that search time dominates per-run setup — through two paths and
 //! writes one JSON report, `BENCH_symbolic.json`, at the repo root:
 //!
-//! 1. **Threads sweep** — direct `verify_ltl` at 1/2/4/8 worker
-//!    threads, reporting per entry the sample count, the minimum and
-//!    median wall time, and the full `SearchStats` (the deterministic
-//!    counters must be identical across thread counts; only wall times
-//!    and prefetch-overlap counters move). The sweep pins `slice:
-//!    false`: cone-of-influence slicing (on by default) removes the
-//!    very toggle flags that scale this service up, and the thread
-//!    measurements need the full search.
-//! 2. **Slice sweep** — the same request at threads=1 with slicing on
-//!    vs off. The Fig. 2 property's cone excludes every toggle flag, so
-//!    the sliced search collapses back to roughly the checkout core;
-//!    the entry records the node-count and wall-time reduction (the
-//!    headline numbers for the slicer) and asserts the verdict is
-//!    unchanged.
+//! 1. **Sequential entry** — direct `verify_ltl` with slicing off,
+//!    reporting the sample count, the minimum, median and maximum wall
+//!    time, and the full `SearchStats`. Slicing is pinned off because
+//!    cone-of-influence slicing (on by default) removes the very toggle
+//!    flags that scale this service up.
+//! 2. **Slice sweep** — the same request with slicing on vs off. The
+//!    Fig. 2 property's cone excludes every toggle flag, so the sliced
+//!    search collapses back to roughly the checkout core; the entry
+//!    records the node-count and wall-time reduction (the headline
+//!    numbers for the slicer) and asserts the verdict is unchanged.
 //! 3. **Service path** — the same request submitted twice through a
 //!    `wave-serve` engine: the cold run pays for the search, the second
 //!    must be a content-addressed cache hit, so the hit/cold timing
 //!    ratio is the headline number for the result cache.
 //!
-//! Sample count comes from `WAVE_BENCH_SAMPLES` (default 3).
+//! Sample count comes from `WAVE_BENCH_SAMPLES` (default 5).
 //!
 //! Usage: `cargo run --release -p wave-bench --bin bench_symbolic
 //! [-- --out PATH] [-- --smoke]`.
 //!
-//! `--smoke` is the CI regression tripwire: it sweeps only threads
-//! {1, 4}, skips the service path and the report file, and exits
-//! nonzero if the threads=4 minimum wall exceeds the threads=1 minimum
-//! by more than 10% — the exact regression this benchmark exists to
-//! catch (threads used to make verification strictly slower).
+//! `--smoke` is the CI regression tripwire: it runs only the slice
+//! sweep, skips the service path and the report file, and exits 1 when
+//! slicing changes the verdict kind, when either search interns a
+//! different node count than the committed `BENCH_symbolic.json`
+//! records (the counts are deterministic), or when the sliced minimum
+//! wall exceeds [`SMOKE_SLICE_RATIO`] × the unsliced minimum wall.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,18 +46,18 @@ use wave_verifier::symbolic::{verify_ltl, SearchStats, SymbolicOptions, Verdict}
 
 const FIG2_PROPERTY: &str = "forall p . G (!ship(p) | paid)";
 const SERVICE: &str = "checkout_bench";
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-const SMOKE_SWEEP: [usize; 2] = [1, 4];
-/// `--smoke` fails when threads=4 is more than this factor over
-/// threads=1 (minimum over samples on both sides).
-const SMOKE_TOLERANCE: f64 = 1.1;
+/// `--smoke` fails when the sliced minimum wall is more than this
+/// fraction of the unsliced one. The committed report shows about 0.05,
+/// so only a slicer that stopped removing the toggle flags (or a search
+/// that stopped scaling with the node count) trips it.
+const SMOKE_SLICE_RATIO: f64 = 0.25;
 
 fn samples() -> usize {
     std::env::var("WAVE_BENCH_SAMPLES")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(3)
+        .unwrap_or(5)
 }
 
 /// Repo root at build time; `--out` overrides at run time.
@@ -70,23 +67,20 @@ fn default_out() -> PathBuf {
         .join("BENCH_symbolic.json")
 }
 
-struct SweepEntry {
-    threads: usize,
+struct Entry {
     wall_us_min: u64,
     verdict: Verdict,
     stats: SearchStats,
     json: Json,
 }
 
-fn sweep_entry(
+fn run_entry(
     service: &wave_core::service::Service,
     property: &wave_logic::temporal::Property,
-    threads: usize,
     n: usize,
     slice: bool,
-) -> SweepEntry {
+) -> Entry {
     let opts = SymbolicOptions {
-        threads,
         slice,
         ..SymbolicOptions::default()
     };
@@ -99,29 +93,81 @@ fn sweep_entry(
         last = Some(out);
     }
     let out = last.expect("at least one sample");
-    assert!(out.holds(), "Fig. 2 payment safety must hold");
     walls.sort_unstable();
     let wall_us_min = walls[0];
     let wall_us_median = walls[walls.len() / 2];
+    let wall_us_max = walls[walls.len() - 1];
     let json = Json::Obj(vec![
-        ("threads".into(), Json::Int(threads as i64)),
         ("samples".into(), Json::Int(n as i64)),
         ("wall_us_min".into(), Json::Int(wall_us_min as i64)),
         ("wall_us_median".into(), Json::Int(wall_us_median as i64)),
+        ("wall_us_max".into(), Json::Int(wall_us_max as i64)),
         ("stats".into(), stats_to_json(&out.stats)),
     ]);
     eprintln!(
-        "threads={threads}: min {wall_us_min} us, median {wall_us_median} us over {n} samples \
-         ({} nodes)",
+        "slice={slice}: min {wall_us_min} us, median {wall_us_median} us, max {wall_us_max} us \
+         over {n} samples ({} nodes)",
         out.stats.nodes_interned
     );
-    SweepEntry {
-        threads,
+    Entry {
         wall_us_min,
         verdict: out.verdict,
         stats: out.stats,
         json,
     }
+}
+
+/// The `(off, on)` node counts recorded in a committed report's
+/// `slice_sweep`, or why they could not be read.
+fn committed_nodes(path: &Path) -> Result<(i64, i64), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let report = Json::parse(&text).map_err(|e| format!("{}: {e:?}", path.display()))?;
+    let nodes = |side: &str| {
+        report
+            .get("slice_sweep")
+            .and_then(|s| s.get(side))
+            .and_then(|s| s.get("nodes_interned"))
+            .and_then(Json::as_int)
+            .ok_or_else(|| format!("{}: no slice_sweep.{side}.nodes_interned", path.display()))
+    };
+    Ok((nodes("off")?, nodes("on")?))
+}
+
+/// The `--smoke` checks; each returned line is one failure.
+fn smoke_failures(
+    full: &Entry,
+    sliced: &Entry,
+    committed: Result<(i64, i64), String>,
+) -> Vec<String> {
+    let mut fails = Vec::new();
+    if std::mem::discriminant(&full.verdict) != std::mem::discriminant(&sliced.verdict) {
+        fails.push(format!(
+            "slicing changed the verdict kind: {:?} vs {:?}",
+            full.verdict, sliced.verdict
+        ));
+    }
+    match committed {
+        Ok((off, on)) => {
+            for (side, got, want) in [
+                ("off", full.stats.nodes_interned, off),
+                ("on", sliced.stats.nodes_interned, on),
+            ] {
+                if got as i64 != want {
+                    fails.push(format!(
+                        "slice {side}: interned {got} nodes, the committed report says {want}"
+                    ));
+                }
+            }
+        }
+        Err(e) => fails.push(format!("committed node counts unreadable: {e}")),
+    }
+    let (on, off) = (sliced.wall_us_min as f64, full.wall_us_min as f64);
+    if on > off * SMOKE_SLICE_RATIO {
+        fails.push(format!(
+            "sliced min wall {on} us exceeds {SMOKE_SLICE_RATIO} x the unsliced {off} us"
+        ));
+    }
+    fails
 }
 
 fn main() {
@@ -138,54 +184,34 @@ fn main() {
     let service = site::checkout_bench();
     let property = parse_property(FIG2_PROPERTY).expect("Fig. 2 property parses");
 
-    // 1. Threads sweep via the verifier directly, slicing off: the
-    // measurement needs the full toggle-scaled search.
-    let plan: &[usize] = if smoke { &SMOKE_SWEEP } else { &THREAD_SWEEP };
-    let mut sweep = Vec::new();
-    for &threads in plan {
-        let entry = sweep_entry(&service, &property, threads, n, false);
-        if let Some(base) = sweep.first() {
-            let base: &SweepEntry = base;
-            assert_eq!(
-                base.verdict, entry.verdict,
-                "verdict must not depend on threads"
-            );
-        }
-        sweep.push(entry);
-    }
+    // 1. The sequential entry via the verifier directly, slicing off:
+    // the measurement needs the full toggle-scaled search.
+    let full = run_entry(&service, &property, n, false);
+
+    // 2. Slicing on vs off. The cone of `forall p . G (!ship(p) | paid)`
+    // reaches ship, paid, pick_pid and their feeding inputs but none of
+    // the bench toggle flags, so the sliced search is the checkout
+    // core's — the reduction is the slicer's headline.
+    let sliced = run_entry(&service, &property, n, true);
 
     if smoke {
-        let t1 = sweep
-            .iter()
-            .find(|e| e.threads == 1)
-            .expect("threads=1 entry")
-            .wall_us_min as f64;
-        let t4 = sweep
-            .iter()
-            .find(|e| e.threads == 4)
-            .expect("threads=4 entry")
-            .wall_us_min as f64;
-        if t4 > t1 * SMOKE_TOLERANCE {
-            eprintln!(
-                "SMOKE FAIL: threads=4 min wall {t4} us exceeds threads=1 min wall {t1} us \
-                 by more than {:.0}% — the parallel-search regression is back",
-                (SMOKE_TOLERANCE - 1.0) * 100.0
-            );
+        let fails = smoke_failures(&full, &sliced, committed_nodes(&default_out()));
+        for f in &fails {
+            eprintln!("SMOKE FAIL: {f}");
+        }
+        if !fails.is_empty() {
             std::process::exit(1);
         }
-        eprintln!("smoke ok: threads=4 min {t4} us vs threads=1 min {t1} us");
+        eprintln!(
+            "smoke ok: {} -> {} nodes, sliced min {} us vs unsliced min {} us",
+            full.stats.nodes_interned,
+            sliced.stats.nodes_interned,
+            sliced.wall_us_min,
+            full.wall_us_min
+        );
         return;
     }
 
-    // 2. Slicing on vs off at threads=1. The cone of `forall p . G
-    // (!ship(p) | paid)` reaches ship, paid, pick_pid and their feeding
-    // inputs but none of the bench toggle flags, so the sliced search
-    // is the checkout core's — the reduction is the slicer's headline.
-    let full = sweep
-        .iter()
-        .find(|e| e.threads == 1)
-        .expect("threads=1 entry");
-    let sliced = sweep_entry(&service, &property, 1, n, true);
     // Kind identity, not structural equality: `Holds` carries the
     // explored-node count, which slicing legitimately shrinks.
     assert!(
@@ -219,7 +245,6 @@ fn main() {
         sliced.stats.sliced_relations
     );
     let slice_report = Json::Obj(vec![
-        ("threads".into(), Json::Int(1)),
         ("samples".into(), Json::Int(n as i64)),
         (
             "off".into(),
@@ -286,10 +311,7 @@ fn main() {
         ("service".into(), Json::str(SERVICE)),
         ("property".into(), Json::str(FIG2_PROPERTY)),
         ("samples".into(), Json::Int(n as i64)),
-        (
-            "threads_sweep".into(),
-            Json::Arr(sweep.iter().map(|e| e.json.clone()).collect()),
-        ),
+        ("sequential".into(), full.json),
         ("slice_sweep".into(), slice_report),
         (
             "cache".into(),

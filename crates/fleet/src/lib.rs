@@ -3,8 +3,8 @@
 //! One `wave-serve` node verifies one request at a time per worker and
 //! caches what it proved. This crate scales that out: a front-end
 //! [`router::Router`] consistent-hashes the **128-bit canonical content
-//! fingerprint** of every request onto N nodes (a [`ring::Ring`] of
-//! virtual points), so identical content always lands on the same node
+//! fingerprint** of every request onto N nodes (a
+//! [`wave_serve::ring::Ring`] of virtual points), so identical content always lands on the same node
 //! and the engine's request coalescing becomes fleet-wide — a
 //! thundering herd on one hot property costs exactly one verification
 //! no matter how many front-end clients stampede.
@@ -49,6 +49,5 @@
 pub mod flap;
 pub mod heartbeat;
 pub mod local;
-pub mod ring;
 pub mod router;
 pub mod shipper;

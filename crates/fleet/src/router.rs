@@ -50,8 +50,8 @@ use wave_serve::codec::VerifyRequest;
 use wave_serve::faults::{Fault, Faults, Hook};
 use wave_serve::view::{MemberInfo, MemberView};
 
-use crate::ring::Ring;
 use crate::shipper::tail_lines;
+use wave_serve::ring::Ring;
 
 pub use wave_serve::view::routing_fingerprint;
 

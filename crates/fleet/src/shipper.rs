@@ -15,7 +15,7 @@
 //! fleet-wide because the pieces compose into gossip: placement and
 //! successor sets are pure functions of the member set, the R=1
 //! successor relation is a single cycle over the members (see
-//! [`Ring::successors`](crate::ring::Ring::successors)), and a receiver
+//! [`Ring::successors`](wave_serve::ring::Ring::successors)), and a receiver
 //! **re-journals** what it installs (`apply_replicated` persists to the
 //! receiver's own journal) — so a record hops successor-to-successor
 //! around the circle, one tick per hop, until every member holds it.

@@ -479,18 +479,22 @@ fn soft_partition_chaos_never_changes_a_verdict() {
     )
     .expect("launch");
 
-    let mut first: Vec<String> = Vec::new();
+    let mut first = Vec::new();
     for round in 0..3 {
         for (i, f) in formulas().iter().enumerate() {
             let reply = fleet
                 .router()
                 .submit(&request(f))
                 .expect("partitioned verify must still answer");
+            // An extra cold run on a non-owner measures its own search
+            // wall time; everything else must be identical.
+            let mut outcome = reply.outcome;
+            outcome.stats.search_wall = Duration::ZERO;
             if round == 0 {
-                first.push(reply.outcome_text.clone());
+                first.push(outcome);
             } else {
                 assert_eq!(
-                    reply.outcome_text, first[i],
+                    outcome, first[i],
                     "{f} verdict drifted under partition chaos"
                 );
             }

@@ -7,8 +7,8 @@
 //! deployed fleet's cache placement and must be a deliberate,
 //! domain-tag-bumping decision).
 
-use wave_fleet::ring::Ring;
 use wave_rng::{Rng, SplitMix64};
+use wave_serve::ring::Ring;
 
 /// `k` seeded fingerprints spanning the full u128 space.
 fn sample_fps(seed: u64, k: usize) -> Vec<u128> {

@@ -12,22 +12,19 @@
 //!   propositional services and closed LTL properties, `A φ` checked on
 //!   the per-database Kripke structure must match the enumerative
 //!   verdict on that database.
-//! * **thread counts**: the symbolic verdict is documented to be
-//!   byte-identical for `threads ∈ {1, 2, 8}` — demanded, not assumed.
-//!   The threaded legs run with `force_overlap` so prefetch workers are
-//!   genuinely spawned even on single-core machines, and the structural
-//!   [`SearchStats`] counters
-//!   (`nodes_interned`, `dedup_hits`, `successors_memoized`,
-//!   `memo_hits`, `peak_frontier`) must also match the sequential base;
-//!   only wall-clock and prefetch-overlap counters may differ.
+//! * **re-run**: the symbolic search is documented to be deterministic
+//!   — demanded, not assumed. A second run of the base options must
+//!   match the base on verdict bytes (lassos included) and on the
+//!   structural [`SearchStats`] counters (`nodes_interned`,
+//!   `dedup_hits`, `successors_memoized`, `memo_hits`,
+//!   `peak_frontier`); only wall-clock time may differ. Hash-order
+//!   nondeterminism anywhere in the search trips this leg.
 //! * **slice vs full**: the cone-of-influence slicer
 //!   ([`wave_core::slice`]) is on by default in the symbolic engine, so
 //!   the base run is sliced; a `slice: false` leg re-verifies the full
-//!   service sequentially and at every diffed thread count. Both
-//!   conclusive verdicts must agree in kind — the certified-reduction
-//!   claim (DESIGN.md §12) demanded on every generated case — and the
-//!   slice-off threaded runs must stay byte-identical to the slice-off
-//!   sequential run. Counterexamples are replayed against the **full**
+//!   service. Both conclusive verdicts must agree in kind — the
+//!   certified-reduction claim (DESIGN.md §12) demanded on every
+//!   generated case. Counterexamples are replayed against the **full**
 //!   service regardless (the enumerative sweep below never slices).
 //! * **metamorphic permutations**: shuffling rules, declarations, pages
 //!   and database facts must keep the service's canonical
@@ -57,7 +54,7 @@ use wave_verifier::precheck::precheck;
 use wave_verifier::replay::replay_outcome;
 use wave_verifier::symbolic::{verify_ltl, SearchStats, SymbolicOptions, Verdict};
 
-use crate::spec::{rename_idents, ServiceSpec};
+use wave_core::spec::{rename_idents, ServiceSpec};
 
 /// Budgets and comparison knobs for one differential run.
 #[derive(Clone, Debug)]
@@ -72,8 +69,6 @@ pub struct DiffOptions {
     pub db_domain: usize,
     /// Cap on enumerated databases per case.
     pub db_max: usize,
-    /// Extra symbolic thread counts diffed against the sequential base.
-    pub threads: Vec<usize>,
 }
 
 impl Default for DiffOptions {
@@ -84,7 +79,6 @@ impl Default for DiffOptions {
             fresh_values: 2,
             db_domain: 2,
             db_max: 6,
-            threads: vec![2, 8],
         }
     }
 }
@@ -98,9 +92,10 @@ pub enum FlawKind {
     Inadmissible,
     /// An engine returned an error on an admissible request.
     EngineError,
-    /// Symbolic verdicts differ across thread counts.
-    ThreadDivergence,
-    /// Deterministic search counters differ across thread counts.
+    /// A re-run of the same symbolic request changed the verdict bytes.
+    RerunDivergence,
+    /// A re-run of the same symbolic request changed the structural
+    /// search counters.
     StatsDivergence,
     /// A rule/declaration/fact permutation changed the fingerprint.
     PermutedFingerprint,
@@ -300,55 +295,39 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
         report.inconclusive = true;
     }
 
-    // Thread counts: byte-identical verdicts demanded, and the
-    // deterministic structural counters must survive the overlapped
-    // prefetch too — `force_overlap` spawns real workers even when the
-    // machine has one core, so the concurrent path is always exercised.
-    for &threads in &opts.threads {
-        let t_opts = SymbolicOptions {
-            threads,
-            force_overlap: true,
-            ..sym_opts.clone()
-        };
-        match verify_ltl(&service, &property, &t_opts) {
-            Ok(out) => {
-                if out.verdict != base.verdict {
-                    flaw(
-                        &mut report,
-                        FlawKind::ThreadDivergence,
-                        format!(
-                            "threads={threads}: {:?} vs sequential {:?}",
-                            out.verdict, base.verdict
-                        ),
-                    );
-                }
-                let structural = |s: &SearchStats| {
-                    (
-                        s.nodes_interned,
-                        s.dedup_hits,
-                        s.successors_memoized,
-                        s.memo_hits,
-                        s.peak_frontier,
-                    )
-                };
-                if structural(&out.stats) != structural(&base.stats) {
-                    flaw(
-                        &mut report,
-                        FlawKind::StatsDivergence,
-                        format!(
-                            "threads={threads}: structural stats {:?} vs sequential {:?}",
-                            structural(&out.stats),
-                            structural(&base.stats)
-                        ),
-                    );
-                }
+    // Re-run: byte-identical verdicts and identical structural counters
+    // demanded from a second run of the same request.
+    match verify_ltl(&service, &property, &sym_opts) {
+        Ok(out) => {
+            if out.verdict != base.verdict {
+                flaw(
+                    &mut report,
+                    FlawKind::RerunDivergence,
+                    format!("re-run: {:?} vs base {:?}", out.verdict, base.verdict),
+                );
             }
-            Err(e) => flaw(
-                &mut report,
-                FlawKind::EngineError,
-                format!("threads={threads}: {e}"),
-            ),
+            let structural = |s: &SearchStats| {
+                (
+                    s.nodes_interned,
+                    s.dedup_hits,
+                    s.successors_memoized,
+                    s.memo_hits,
+                    s.peak_frontier,
+                )
+            };
+            if structural(&out.stats) != structural(&base.stats) {
+                flaw(
+                    &mut report,
+                    FlawKind::StatsDivergence,
+                    format!(
+                        "re-run: structural stats {:?} vs base {:?}",
+                        structural(&out.stats),
+                        structural(&base.stats)
+                    ),
+                );
+            }
         }
+        Err(e) => flaw(&mut report, FlawKind::EngineError, format!("re-run: {e}")),
     }
 
     // Slice-vs-full: the base run above slices (cone-of-influence
@@ -358,10 +337,6 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
     // runs are conclusive (witness lassos may differ textually between
     // the sliced and full state spaces, and either side may exhaust its
     // node budget first, so only conclusive-kind identity is claimed).
-    // The check repeats at every diffed thread count with forced
-    // overlap, and those slice-off threaded legs must also stay
-    // byte-identical to the slice-off sequential run — the determinism
-    // contract holds in both slicing modes.
     let full_opts = SymbolicOptions {
         slice: false,
         ..sym_opts.clone()
@@ -383,29 +358,6 @@ pub fn run_case(seed: u64, spec: &ServiceSpec, opts: &DiffOptions) -> CaseReport
                         base.stats.sliced_relations
                     ),
                 );
-            }
-            for &threads in &opts.threads {
-                let t_opts = SymbolicOptions {
-                    threads,
-                    force_overlap: true,
-                    ..full_opts.clone()
-                };
-                match verify_ltl(&service, &property, &t_opts) {
-                    Ok(out) if out.verdict == full.verdict => {}
-                    Ok(out) => flaw(
-                        &mut report,
-                        FlawKind::SliceDivergence,
-                        format!(
-                            "slice off, threads={threads}: {:?} vs sequential {:?}",
-                            out.verdict, full.verdict
-                        ),
-                    ),
-                    Err(e) => flaw(
-                        &mut report,
-                        FlawKind::EngineError,
-                        format!("slice off, threads={threads}: {e}"),
-                    ),
-                }
             }
         }
         Err(e) => flaw(
@@ -633,7 +585,7 @@ fn run_enum_sweep(
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use crate::spec::{PageSpec, RuleSpec};
+    use wave_core::spec::{PageSpec, RuleSpec};
 
     fn toggle_spec() -> ServiceSpec {
         ServiceSpec {

@@ -24,7 +24,7 @@
 
 use wave_rng::{Rng, SplitMix64};
 
-use crate::spec::{PageSpec, RuleSpec, ServiceSpec};
+use wave_core::spec::{PageSpec, RuleSpec, ServiceSpec};
 
 /// One generated case.
 #[derive(Clone, Debug)]

@@ -31,7 +31,7 @@ use wave_serve::json::Json;
 use wave_verifier::symbolic::{verify_ltl, SymbolicOptions, VerifyOutcome};
 
 use crate::diff::{permuted, Flaw, FlawKind};
-use crate::spec::{rename_idents, ServiceSpec};
+use wave_core::spec::{rename_idents, ServiceSpec};
 
 /// Budgets for one incremental case.
 #[derive(Clone, Debug)]

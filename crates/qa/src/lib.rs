@@ -14,15 +14,17 @@
 //!
 //! * [`gen`] — seeded generation of small services and properties that
 //!   are lint-clean and decidable-by-construction;
-//! * [`diff`] — the differential driver: every applicable engine, three
-//!   thread counts, permutation and renaming metamorphoses, and
+//! * [`diff`] — the differential driver: every applicable engine, a
+//!   deterministic re-run, permutation and renaming metamorphoses, and
 //!   concrete replay of every counterexample;
 //! * [`inc`] — the incremental leg: seeded edit sequences replayed
 //!   through a warm `wave-serve` engine, demanding byte-identical
 //!   verdicts against cold runs and zero search on no-op edits;
-//! * [`shrink`] — greedy minimization of anything that trips;
-//! * [`spec`] — the data-level service representation with a parseable
-//!   text form, so shrunk repros can be checked in as regression tests.
+//! * [`shrink`] — greedy minimization of anything that trips.
+//!
+//! Cases are [`wave_core::spec::ServiceSpec`]s, the data-level service
+//! representation with a parseable text form, so shrunk repros can be
+//! checked in as regression tests.
 //!
 //! The `wave-qa` binary (`--seeds N --budget SECS --json`) runs a
 //! campaign and exits nonzero with a shrunk repro on any flaw — it is
@@ -35,10 +37,9 @@ pub mod diff;
 pub mod gen;
 pub mod inc;
 pub mod shrink;
-pub mod spec;
 
 use diff::{DiffOptions, FlawKind};
-use spec::ServiceSpec;
+use wave_core::spec::ServiceSpec;
 
 /// Generates, diffs, and (on failure) shrinks one seed. Returns the
 /// report and, when flawed, the shrunk repro spec.

@@ -12,7 +12,7 @@
 //! The result is what gets printed as a repro
 //! ([`ServiceSpec::to_source`]) and checked into a regression test.
 
-use crate::spec::ServiceSpec;
+use wave_core::spec::ServiceSpec;
 
 /// All one-step reductions of `spec`, most aggressive first (whole
 /// pages before single facts) so the greedy loop converges quickly.

@@ -81,8 +81,10 @@ pub struct VerifyRequest {
     pub mode: Mode,
     /// Node budget (`0` = engine default, see `SymbolicOptions`).
     pub node_limit: usize,
-    /// Frontier-warming threads (`0` = one per core). Excluded from the
-    /// fingerprint: thread count never changes the verdict.
+    /// Ignored: the search is sequential. Still accepted and validated
+    /// on the wire (older clients send it) and excluded from the
+    /// fingerprint; remove the field with the next change to the repo
+    /// benchmark, which builds this struct literally.
     pub threads: usize,
     /// Per-job deadline in microseconds (`0` = none). Excluded from the
     /// fingerprint for the same reason.
@@ -315,8 +317,6 @@ pub fn stats_to_json(s: &SearchStats) -> Json {
         ),
         ("memo_hits".into(), Json::Int(s.memo_hits as i64)),
         ("peak_frontier".into(), Json::Int(s.peak_frontier as i64)),
-        ("prefetched".into(), Json::Int(s.prefetched as i64)),
-        ("prefetch_hits".into(), Json::Int(s.prefetch_hits as i64)),
         ("sliced_rules".into(), Json::Int(s.sliced_rules as i64)),
         (
             "sliced_relations".into(),
@@ -343,8 +343,6 @@ pub fn stats_from_json(v: &Json) -> Result<SearchStats, DecodeError> {
         successors_memoized: int("successors_memoized")? as usize,
         memo_hits: int("memo_hits")? as u64,
         peak_frontier: int("peak_frontier")? as usize,
-        prefetched: int("prefetched")? as usize,
-        prefetch_hits: int("prefetch_hits")? as u64,
         sliced_rules: int("sliced_rules")? as usize,
         sliced_relations: int("sliced_relations")? as usize,
         search_wall: us_to_duration(int("search_wall_us")?),
@@ -447,8 +445,6 @@ mod tests {
             successors_memoized: 10,
             memo_hits: 7,
             peak_frontier: 4,
-            prefetched: 6,
-            prefetch_hits: 5,
             sliced_rules: 2,
             sliced_relations: 1,
             search_wall: Duration::from_micros(987_654),
@@ -492,6 +488,35 @@ mod tests {
             assert_eq!(back, o, "round trip changed the outcome:\n{text}");
             // And re-encoding is byte-identical (cache guarantee).
             assert_eq!(outcome_to_json(&back).encode(), text);
+        }
+    }
+
+    #[test]
+    fn encoded_stats_carry_no_scheduling_dependent_keys() {
+        // The search is sequential, so the stats object holds only
+        // counters that repeat run to run, plus the wall time and the
+        // slicing/incremental facts. Replies from older servers, which
+        // carry two more keys, still decode: unknown keys are ignored
+        // (the canned reply in tests/client_robustness.rs pins that).
+        for o in sample_outcomes() {
+            let Json::Obj(fields) = stats_to_json(&o.stats) else {
+                panic!("stats encode as an object");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "nodes_interned",
+                    "dedup_hits",
+                    "successors_memoized",
+                    "memo_hits",
+                    "peak_frontier",
+                    "sliced_rules",
+                    "sliced_relations",
+                    "search_wall_us",
+                    "incremental",
+                ]
+            );
         }
     }
 

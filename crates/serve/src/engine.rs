@@ -13,8 +13,8 @@
 //!    space or a worker's verification budget;
 //! 4. computes the request's canonical [`Fingerprint`] over the
 //!    *resolved* `Service` structure, the mode, the property and the
-//!    normalized node budget — `threads` and `deadline_us` are excluded
-//!    because they can never change the verdict;
+//!    normalized node budget — the inert `threads` and `deadline_us`
+//!    are excluded because they can never change the verdict;
 //! 5. on a cache hit, replays the stored outcome bytes verbatim
 //!    (`cache_hit: true`, byte-identical to the run that stored them);
 //! 6. on a miss, **coalesces** with any identical in-flight
@@ -384,10 +384,12 @@ pub fn request_fingerprint(
     }
     .normalized();
     let mut h = Fnv128::new();
-    // v3: outcome stats gained the `incremental` flag (v2 added
-    // sliced_rules/sliced_relations), so bytes persisted under earlier
-    // schemes no longer decode — never replay them.
-    h.write_str("wave-serve/fp/v3");
+    // v4: outcome stats lost the two scheduling-dependent prefetch
+    // counters of the removed overlapped search (v3 gained the
+    // `incremental` flag, v2 sliced_rules/sliced_relations). Cached
+    // outcome bytes embed the stats object, so bytes persisted under
+    // earlier schemes are never replayed.
+    h.write_str("wave-serve/fp/v4");
     service.canon(&mut h);
     match mode {
         Mode::Ltl => {
@@ -973,7 +975,6 @@ impl Engine {
         let (tx, rx) = mpsc::channel();
         let mode = req.mode;
         let node_limit = req.node_limit;
-        let threads = req.threads;
         let job_faults = self.faults.clone();
         let automata = self.tiers.automata();
         let submitted = self.sched.submit(move || {
@@ -985,7 +986,6 @@ impl Engine {
             }
             let opts = SymbolicOptions {
                 node_limit,
-                threads,
                 cancel,
                 automata: Some(automata),
                 ..SymbolicOptions::default()

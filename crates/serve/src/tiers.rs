@@ -78,7 +78,8 @@ pub fn verdict_tier_key(sliced: &Service, property: &Property, node_limit: usize
     }
     .normalized();
     let mut h = Fnv128::new();
-    // v1: verdict wire encoding as of wave-serve/fp/v3. Bump when either
+    // v1: verdict wire encoding as of wave-serve/fp/v3 (v4 changed only
+    // the stats object, which this tier never stores). Bump when either
     // the slicer or the verdict codec changes canonical form.
     h.write_str("wave-inc/verdict/v1");
     sliced.canon(&mut h);

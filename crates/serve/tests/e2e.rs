@@ -196,8 +196,6 @@ fn worker_pool_size_never_changes_the_deterministic_outcome() {
         outcome: &wave_verifier::symbolic::VerifyOutcome,
     ) -> impl PartialEq + std::fmt::Debug {
         let mut stats = outcome.stats.clone();
-        stats.prefetched = 0;
-        stats.prefetch_hits = 0;
         stats.search_wall = Duration::ZERO;
         (outcome.verdict.clone(), stats)
     }
